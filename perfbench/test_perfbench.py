@@ -8,11 +8,13 @@ from __future__ import annotations
 import os
 import sys
 import threading
+import time
 
 import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+import reference  # noqa: E402
 import spans  # noqa: E402
 from stats import Samples, TooFewSamples, min_samples, percentile  # noqa: E402
 
@@ -45,6 +47,67 @@ def test_samples_record_each_count():
     assert samples.counts == {"latency": 250, "tours": 3}
     with pytest.raises(TooFewSamples):
         samples.mean("empty", [])
+
+
+# -- host-speed gauge ---------------------------------------------------------
+
+
+def gauge_with(times, values, span=0.05):
+    gauge = reference.Gauge(span=span)
+    gauge.times, gauge.values = list(times), list(values)
+    return gauge
+
+
+def test_cost_divides_each_stretch_by_the_probes_around_it():
+    # The host runs at speed 1 until t=1, then twice as slow; probes are
+    # 0.1 s apart, and each stretch takes the median of those within
+    # 0.05 s of it.
+    times = [i / 10 for i in range(21)]
+    values = [1.0 if t < 1.0 else 2.0 for t in times]
+    gauge = gauge_with(times, values)
+    assert gauge.cost(0.0, 0.5) == pytest.approx(0.5)
+    assert gauge.cost(1.1, 1.6) == pytest.approx(0.25)
+    # Twice the work in the slow phase costs what it does in the fast one.
+    assert gauge.cost(1.1, 2.0) == pytest.approx(gauge.cost(0.0, 0.45))
+
+
+def test_cost_uses_nearest_probes_when_none_is_close():
+    gauge = gauge_with([0.0, 0.0, 10.0, 10.0], [1.0, 1.0, 3.0, 3.0])
+    # Stretch [4, 6] has no probe within 0.05 s: the nearest on either
+    # side count.
+    assert gauge.cost(4.0, 6.0) == pytest.approx(2.0 / 2.0)
+    with pytest.raises(ValueError, match="no probes"):
+        reference.Gauge().cost(0.0, 1.0)
+
+
+def test_probing_is_taken_off_the_clock():
+    gauge = reference.Gauge(every=0.0)
+    start = gauge.tick()  # probes: due at once
+    gauge.probe(runs=50)
+    assert len(gauge.values) == 51
+    elapsed = gauge.clock() - start
+    assert elapsed < sum(gauge.values) / 10
+    assert gauge.times == sorted(gauge.times)
+    never = reference.Gauge(every=float("inf"))
+    never.tick()
+    assert never.values == []
+
+
+def test_sampling_probes_main_thread_work_from_a_timer():
+    gauge = reference.Gauge(every=0.002)
+    with gauge.sampling():
+        start = gauge.clock()
+        deadline = time.perf_counter() + 0.1
+        while time.perf_counter() < deadline:
+            pass
+        end = gauge.clock()
+    assert len(gauge.values) >= 5
+    assert gauge.cost(start, end) > 0
+    count = len(gauge.values)
+    deadline = time.perf_counter() + 0.02
+    while time.perf_counter() < deadline:
+        pass
+    assert len(gauge.values) == count  # the timer is off after the block
 
 
 # -- self time ----------------------------------------------------------------
