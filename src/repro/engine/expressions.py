@@ -266,7 +266,19 @@ def compile_expr(
             return eval_or
 
         if op == "CONTAINS":
-            left, right = compile_node(node.left), compile_node(node.right)
+            left = compile_node(node.left)
+            if isinstance(node.right, ast.Literal) and node.right.value is not None:
+                # Casefold a literal needle once, not per row.
+                needle_cf = str(node.right.value).casefold()
+
+                def eval_contains_lit(row: Row, context: EvalContext) -> Any:
+                    text = left(row, context)
+                    if text is None:
+                        return None
+                    return needle_cf in str(text).casefold()
+
+                return eval_contains_lit
+            right = compile_node(node.right)
 
             def eval_contains(row: Row, context: EvalContext) -> Any:
                 text, needle = left(row, context), right(row, context)
@@ -578,6 +590,10 @@ def compile_vector_expr(
 
     def compile_binary(node: ast.BinaryOp) -> _VectorNode | None:
         op = node.op
+        if op == "OR":
+            fused = _fused_contains_any(node, schema_set)
+            if fused is not None:
+                return fused
         if op in ("AND", "OR"):
             left = compile_node(node.left)
             right = compile_node(node.right)
@@ -808,6 +824,73 @@ def compile_vector_expr(
 
     node = compile_node(expr)
     return None if node is None else node.fn
+
+
+def _contains_any_arms(node: ast.Expr) -> list[ast.BinaryOp] | None:
+    """The ``CONTAINS`` arms of an ``OR`` tree, left to right, or None
+    when any leaf is something else."""
+    if isinstance(node, ast.BinaryOp):
+        if node.op == "OR":
+            left = _contains_any_arms(node.left)
+            right = _contains_any_arms(node.right)
+            if left is None or right is None:
+                return None
+            return left + right
+        if node.op == "CONTAINS":
+            return [node]
+    return None
+
+
+def _fused_contains_any(
+    node: ast.BinaryOp, schema_set: set[str]
+) -> _VectorNode | None:
+    """One node for ``f CONTAINS 'a' OR f CONTAINS 'b' OR …``.
+
+    The keyword disjunction TwitInfo's event queries are made of. Every
+    arm reads the same field, so the scalar chain is NULL exactly when
+    the field is NULL and otherwise TRUE iff some needle occurs in
+    ``str(value).casefold()``; the fused node casefolds each value once
+    and tests the pre-casefolded needles in order, instead of
+    materializing one verdict column per arm and OR-ing them pairwise.
+    """
+    arms = _contains_any_arms(node)
+    if arms is None:
+        return None
+    fields: set[str] = set()
+    needles: list[str] = []
+    for arm in arms:
+        if not (
+            isinstance(arm.left, ast.FieldRef)
+            and isinstance(arm.right, ast.Literal)
+            and arm.right.value is not None
+        ):
+            return None
+        fields.add(arm.left.name.lower())
+        needles.append(str(arm.right.value).casefold())
+    if len(fields) != 1:
+        return None
+    (key,) = fields
+    if key not in schema_set:
+        return None
+    needle_tuple = tuple(needles)
+
+    def eval_contains_any(batch: ColumnBatch, _ctx: EvalContext) -> Any:
+        out: list[Any] = []
+        append = out.append
+        for value in batch.values(key):
+            if value is None:
+                append(None)
+                continue
+            folded = str(value).casefold()
+            for needle in needle_tuple:
+                if needle in folded:
+                    append(True)
+                    break
+            else:
+                append(False)
+        return out
+
+    return _VectorNode(eval_contains_any, total=True)
 
 
 def _truthy(value: Any) -> bool:

@@ -15,7 +15,8 @@ exchange/worker substrate of :mod:`repro.engine.parallel`:
 - the **fanout** thread pulls source batches through one ScanOperator
   (source pulls hold the group lock — the stream advances the shared
   virtual clock), evaluates every tenant's WHERE conjuncts *fanout-side*
-  with a per-row memo keyed by the conjunct's rendered SQL — so a filter
+  a batch at a time, column-wise where the conjunct vectorizes, with a
+  per-batch memo keyed by the conjunct's rendered SQL — so a filter
   prefix shared by N tenants is evaluated **once** per row, not N times —
   and routes passing rows into per-tenant bounded queues;
 - one **tenant worker** thread per query runs the residual pipeline
@@ -65,15 +66,23 @@ from __future__ import annotations
 
 import queue
 import threading
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any
 
 from repro.engine import operators as ops
 from repro.engine import parallel
 from repro.engine.executor import QueryHandle
-from repro.engine.expressions import compile_expr, contains_aggregate
+from repro.engine.expressions import (
+    Broadcast,
+    Evaluator,
+    VectorEvaluator,
+    compile_expr,
+    compile_vector_expr,
+    contains_aggregate,
+)
 from repro.engine.sanitizer import registered_lock
 from repro.engine.planner import (
     Planner,
@@ -83,6 +92,7 @@ from repro.engine.planner import (
 )
 from repro.engine.types import (
     DEFAULT_BATCH_SIZE,
+    ColumnBatch,
     EvalContext,
     Row,
     RowBatch,
@@ -92,7 +102,6 @@ from repro.sql import ast, parse
 
 _POLL_SECONDS = parallel._POLL_SECONDS
 _END = object()
-_MISS = object()
 
 _HIT_INDEX = parallel._MANAGED_FIELDS.index("cache_hits")
 
@@ -269,8 +278,8 @@ class GroupStats:
     #: Total row deliveries across tenants (one row routed to 3 tenants
     #: counts 3).
     rows_routed: int = 0
-    #: Predicate evaluations *saved* by the per-row conjunct memo — each
-    #: is an evaluation an independent run would have performed again.
+    #: Predicate evaluations *saved* by the conjunct memo — each is an
+    #: evaluation an independent run would have performed again.
     evaluations_shared: int = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -282,6 +291,19 @@ class GroupStats:
             "rows_routed": self.rows_routed,
             "evaluations_shared": self.evaluations_shared,
         }
+
+
+@dataclass(frozen=True)
+class _SharedConjunct:
+    """One distinct WHERE conjunct of the group, compiled once.
+
+    ``vector`` is its column-at-a-time form, None when the expression
+    does not vectorize (UDF calls); the fanout then runs ``scalar`` on
+    the same rows.
+    """
+
+    scalar: Evaluator
+    vector: VectorEvaluator | None
 
 
 class _Tenant:
@@ -468,7 +490,7 @@ class SharedScanGroup:
         self._handles: list[QueryHandle] = []
         #: Deduplicated compiled conjuncts, keyed by rendered SQL — the
         #: "share common filter prefixes" mechanism.
-        self._predicates: dict[str, Any] = {}
+        self._predicates: dict[str, _SharedConjunct] = {}
 
         # Fanout-side context and source pipeline. The fanout's services
         # are lock-guarded (WHERE conjuncts may call them), with a stats
@@ -493,7 +515,7 @@ class SharedScanGroup:
         planner._attach_service_tracers(None)
         source_rows = planner._build_source(binding, [], self._fanout_plan)
         scan: ops.Batches = ops.ScanOperator(
-            source_rows, self._fanout_ctx, self._batch_size
+            source_rows, self._fanout_ctx, self._batch_size, columnar=True
         )
         self._scan = planner._trace(
             scan, f"Scan({binding.name})", self._fanout_plan, lane="fanout"
@@ -606,8 +628,11 @@ class SharedScanGroup:
         for conjunct in conjuncts:
             key = conjunct.to_sql()
             if key not in self._predicates:
-                self._predicates[key] = compile_expr(
-                    conjunct, planner._registry, schema, self._fanout_ctx
+                ctx = self._fanout_ctx
+                registry = planner._registry
+                self._predicates[key] = _SharedConjunct(
+                    compile_expr(conjunct, registry, schema, ctx),
+                    compile_vector_expr(conjunct, registry, schema, ctx),
                 )
             keys.append(key)
         tenant.conjunct_keys = tuple(keys)
@@ -708,29 +733,66 @@ class SharedScanGroup:
         if error is not None:
             raise error
 
-    def _admit_row(
-        self, row: Row, tenant: _Tenant, memo: dict[str, Any]
-    ) -> bool:
-        """Does ``row`` pass this tenant's WHERE? Memoized per row.
+    def _route(
+        self, batch: ColumnBatch, tenants: list[_Tenant]
+    ) -> list[list[int]]:
+        """Each tenant's selection: positions of the rows passing its WHERE.
 
-        Short-circuits in conjunct order like a serial filter chain;
-        verdicts are normalized to SQL WHERE semantics (NULL drops).
+        Conjuncts run a batch at a time, in each tenant's conjunct order
+        and only over the rows its earlier conjuncts let through, as a
+        serial filter chain would. Verdicts are memoized per batch by
+        rendered SQL, so a conjunct shared by several tenants runs at most
+        once per row: the counters match a per-row memo exactly — one
+        ``predicate_evaluations`` per first evaluation of a (row,
+        conjunct), one ``evaluations_shared`` per later lookup. Verdicts
+        are normalized to SQL WHERE semantics (NULL drops).
         """
-        predicates = self._predicates
+        n = batch.length
+        memo: dict[str, list[bool | None]] = {}
+        evaluated = reused = 0
+        selections: list[list[int]] = []
+        for tenant in tenants:
+            alive: Sequence[int] = range(n)
+            for key in tenant.conjunct_keys:
+                if not alive:
+                    break
+                verdicts = memo.get(key)
+                if verdicts is None:
+                    verdicts = memo[key] = [None] * n
+                    todo = alive
+                else:
+                    todo = [i for i in alive if verdicts[i] is None]
+                if todo:
+                    self._evaluate(self._predicates[key], batch, todo, verdicts)
+                evaluated += len(todo)
+                reused += len(alive) - len(todo)
+                alive = list(compress(alive, map(verdicts.__getitem__, alive)))
+            selections.append(list(alive))
+        self._fanout_ctx.stats.predicate_evaluations += evaluated
+        self.stats.evaluations_shared += reused
+        return selections
+
+    def _evaluate(
+        self,
+        conjunct: _SharedConjunct,
+        batch: ColumnBatch,
+        todo: Sequence[int],
+        verdicts: list[bool | None],
+    ) -> None:
+        """Fill ``verdicts`` (True/False) at the ``todo`` positions."""
         ctx = self._fanout_ctx
-        stats = ctx.stats
-        for key in tenant.conjunct_keys:
-            value = memo.get(key, _MISS)
-            if value is _MISS:
-                verdict = predicates[key](row, ctx)
-                value = verdict is not None and bool(verdict)
-                memo[key] = value
-                stats.predicate_evaluations += 1
-            else:
-                self.stats.evaluations_shared += 1
-            if not value:
-                return False
-        return True
+        if conjunct.vector is not None:
+            values = conjunct.vector(
+                batch.take(todo) if len(todo) < batch.length else batch, ctx
+            )
+            if isinstance(values, Broadcast):
+                values = [values.value] * len(todo)
+        else:
+            rows = batch.rows
+            predicate = conjunct.scalar
+            values = [predicate(rows[i], ctx) for i in todo]
+        for i, value in zip(todo, values):
+            verdicts[i] = value is not None and bool(value)
 
     def _put(self, tenant: _Tenant, item: list[Row] | None) -> None:
         """Route one batch (or the end sentinel) with bounded-stall policy."""
@@ -794,13 +856,10 @@ class SharedScanGroup:
                     batch = next(iterator, _END)
                 if batch is _END:
                     break
-                for row in batch.rows:
-                    memo: dict[str, Any] = {}
-                    for tenant in tenants:
-                        if tenant.finished:
-                            continue
-                        if self._admit_row(row, tenant, memo):
-                            pending[tenant.index].append(row)
+                live = [t for t in tenants if not t.finished]
+                rows = batch.rows
+                for tenant, selection in zip(live, self._route(batch, live)):
+                    pending[tenant.index].extend(map(rows.__getitem__, selection))
                 for tenant in tenants:
                     if len(pending[tenant.index]) >= self._batch_size:
                         self._put(tenant, pending[tenant.index])

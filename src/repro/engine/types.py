@@ -13,7 +13,7 @@ pipeline.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -275,7 +275,7 @@ class ColumnBatch:
         keep = [i for i, v in enumerate(verdicts) if v is not None and v]
         return self.take(keep)
 
-    def take(self, indexes: list[int]) -> "ColumnBatch":
+    def take(self, indexes: Sequence[int]) -> "ColumnBatch":
         """A new batch keeping only the given row positions, in order."""
         if len(indexes) == self.length:
             return self

@@ -35,6 +35,8 @@ class KeywordExtractor:
 
     Feed every event tweet through :meth:`observe` as it arrives; call
     :meth:`extract` with the texts of a peak window to get its labels.
+    The ``*_tokens`` forms take :func:`content_tokens` output instead,
+    for callers that keep each tweet's tokens rather than re-tokenizing.
     """
 
     def __init__(self) -> None:
@@ -43,8 +45,12 @@ class KeywordExtractor:
 
     def observe(self, text: str) -> None:
         """Add one tweet to the background model."""
+        self.observe_tokens(content_tokens(text))
+
+    def observe_tokens(self, tokens: Iterable[str]) -> None:
+        """Add one tweet, given as its content tokens."""
         self._documents += 1
-        self._document_frequency.update(set(content_tokens(text)))
+        self._document_frequency.update(set(tokens))
 
     def observe_all(self, texts: Iterable[str]) -> None:
         for text in texts:
@@ -74,9 +80,20 @@ class KeywordExtractor:
             min_frequency: drop terms appearing in fewer than this many
                 window tweets (suppresses one-off noise).
         """
+        return self.extract_tokens(
+            [content_tokens(text) for text in texts], k, min_frequency
+        )
+
+    def extract_tokens(
+        self,
+        documents: Iterable[Iterable[str]],
+        k: int = 5,
+        min_frequency: int = 2,
+    ) -> list[ScoredTerm]:
+        """:meth:`extract` over the window tweets' content tokens."""
         term_frequency: Counter[str] = Counter()
-        for text in texts:
-            term_frequency.update(set(content_tokens(text)))
+        for tokens in documents:
+            term_frequency.update(set(tokens))
         scored = [
             ScoredTerm(
                 term=term,

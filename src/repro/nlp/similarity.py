@@ -9,6 +9,7 @@ model is available.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from collections.abc import Sequence
@@ -21,12 +22,12 @@ T = TypeVar("T")
 
 
 def _vectorize(
-    tokens: Sequence[str], extractor: KeywordExtractor | None
+    tokens: Sequence[str], idf: Callable[[str], float] | None
 ) -> dict[str, float]:
     counts = Counter(tokens)
-    if extractor is None:
+    if idf is None:
         return dict(counts)
-    return {term: count * extractor.idf(term) for term, count in counts.items()}
+    return {term: count * idf(term) for term, count in counts.items()}
 
 
 def cosine_similarity(
@@ -64,14 +65,34 @@ def rank_by_similarity(
     Returns (item, similarity) pairs, best first; ties broken by input
     order (stable sort), so earlier tweets win among equals.
     """
+    return rank_by_tokens(
+        items,
+        keywords,
+        lambda item: content_tokens(text_of(item)),
+        extractor=extractor,
+        limit=limit,
+    )
+
+
+def rank_by_tokens(
+    items: Sequence[T],
+    keywords: Sequence[str],
+    tokens_of: Callable[[T], Sequence[str]],
+    extractor: KeywordExtractor | None = None,
+    limit: int | None = None,
+) -> list[tuple[T, float]]:
+    """:func:`rank_by_similarity` with each item's content tokens given
+    by ``tokens_of`` (already tokenized, e.g. once at ingest)."""
+    # One ranking reads the model at one state: memoize each term's idf.
+    idf = functools.cache(extractor.idf) if extractor is not None else None
     query_vector = _vectorize(
         [token for keyword in keywords for token in content_tokens(keyword)]
         or [k.lower() for k in keywords],
-        extractor,
+        idf,
     )
     scored = [
         (item, cosine_similarity(
-            _vectorize(content_tokens(text_of(item)), extractor), query_vector
+            _vectorize(tokens_of(item), idf), query_vector
         ))
         for item in items
     ]

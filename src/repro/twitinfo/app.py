@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from repro.engine.session import TweeQL
 from repro.fidelity.coverage import CoverageEstimate
+from repro.nlp.tokenize import content_tokens
 from repro.storage.tweetlog import MemoryTweetLog
 from repro.twitinfo.dashboard import Dashboard
 from repro.twitinfo.event import EventDefinition, PeakAnnotation
@@ -93,6 +94,13 @@ class TrackedEvent:
         self.timeline = Timeline(bin_seconds=definition.bin_seconds)
         self.labeler = PeakLabeler(definition)
         self.sentiments: dict[int, int] = {}  # tweet_id → label
+        #: tweet_id → content tokens, computed once at ingest and read by
+        #: the key-term model, peak labels and relevance ranking. Equal
+        #: token tuples are interned through ``_token_pool`` — retweets
+        #: and stock reactions repeat them, so the event stores a few
+        #: thousand distinct tuples, not one per tweet.
+        self.tokens: dict[int, tuple[str, ...]] = {}
+        self._token_pool: dict[tuple[str, ...], tuple[str, ...]] = {}
         self.links = LinkAggregator()
         self.map = MapView()
         self.detector = PeakDetector(
@@ -112,7 +120,10 @@ class TrackedEvent:
         """Process one matching tweet through every panel."""
         self.log.append(tweet)
         self.timeline.add(tweet.created_at)
-        self.labeler.observe(tweet.text)
+        tokens = tuple(content_tokens(tweet.text))
+        tokens = self._token_pool.setdefault(tokens, tokens)
+        self.tokens[tweet.tweet_id] = tokens
+        self.labeler.observe_tokens(tokens)
         self.sentiments[tweet.tweet_id] = sentiment
         assert tweet.entities is not None
         for url in tweet.entities.urls:
@@ -160,8 +171,7 @@ class TrackedEvent:
         self._fed_to_index = max(self._fed_to_index, last_full)
         for peak in self.detector.peaks:
             if peak.closed and peak.label not in self._annotated_labels:
-                texts = [t.text for t in self.log.scan(peak.start, peak.end)]
-                annotation = self.labeler.annotate(peak, texts)
+                annotation = self._annotate(peak)
                 self._annotated_labels.add(peak.label)
                 self.peaks.append(annotation)
                 newly_closed.append(annotation)
@@ -185,13 +195,20 @@ class TrackedEvent:
         )
         raw = detector.run(self.timeline.bins())
         self._raw_peaks = raw
-        annotated = []
-        for peak in raw:
-            texts = [t.text for t in self.log.scan(peak.start, peak.end)]
-            annotated.append(self.labeler.annotate(peak, texts))
+        annotated = [self._annotate(peak) for peak in raw]
         self.peaks = annotated
         self._annotated_labels = {p.label for p in annotated}
         return annotated
+
+    def _annotate(self, peak: Peak) -> PeakAnnotation:
+        """Label a peak from the stored tokens of the tweets inside it."""
+        return self.labeler.annotate_tokens(
+            peak,
+            [
+                self.tokens[t.tweet_id]
+                for t in self.log.scan(peak.start, peak.end)
+            ],
+        )
 
     def sentiment_summary(
         self, start: float | None = None, end: float | None = None
@@ -215,7 +232,7 @@ class TrackedEvent:
         keywords = tuple(self.definition.keywords) + extra_terms
         return relevant_tweets(
             tweets, keywords, labels, extractor=self.labeler.extractor,
-            limit=limit,
+            limit=limit, tokens_of=lambda tweet: self.tokens[tweet.tweet_id],
         )
 
     def search_peaks(self, needle: str) -> list[PeakAnnotation]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from repro.nlp.keywords import KeywordExtractor, ScoredTerm
+from repro.nlp.tokenize import content_tokens
 from repro.twitinfo.event import EventDefinition, PeakAnnotation
 from repro.twitinfo.peaks import Peak
 
@@ -26,7 +27,8 @@ class PeakLabeler:
     """Maintains the event's background model and labels peaks.
 
     Feed every event tweet through :meth:`observe`; call :meth:`annotate`
-    with a peak and the texts inside its window.
+    with a peak and the texts inside its window. The ``*_tokens`` forms
+    take each tweet's content tokens instead of its text.
     """
 
     def __init__(self, event: EventDefinition, terms_per_peak: int = 5) -> None:
@@ -44,13 +46,20 @@ class PeakLabeler:
         """Add one event tweet to the background model."""
         self._extractor.observe(text)
 
+    def observe_tokens(self, tokens: Sequence[str]) -> None:
+        """Add one event tweet, given as its content tokens."""
+        self._extractor.observe_tokens(tokens)
+
     def observe_all(self, texts: Iterable[str]) -> None:
         self._extractor.observe_all(texts)
 
     def key_terms(self, texts: Sequence[str]) -> list[ScoredTerm]:
         """Top TF-IDF terms for a window, minus the tracked keywords."""
-        scored = self._extractor.extract(
-            texts, k=self._terms_per_peak + len(self._suppressed)
+        return self._key_terms([content_tokens(t) for t in texts])
+
+    def _key_terms(self, documents: Iterable[Sequence[str]]) -> list[ScoredTerm]:
+        scored = self._extractor.extract_tokens(
+            documents, k=self._terms_per_peak + len(self._suppressed)
         )
         filtered = [
             term for term in scored if term.term not in self._suppressed
@@ -59,7 +68,13 @@ class PeakLabeler:
 
     def annotate(self, peak: Peak, texts: Sequence[str]) -> PeakAnnotation:
         """Build the flagged, labeled peak for the interface."""
-        terms = tuple(term.term for term in self.key_terms(texts))
+        return self.annotate_tokens(peak, [content_tokens(t) for t in texts])
+
+    def annotate_tokens(
+        self, peak: Peak, documents: Iterable[Sequence[str]]
+    ) -> PeakAnnotation:
+        """:meth:`annotate` over the window tweets' content tokens."""
+        terms = tuple(term.term for term in self._key_terms(documents))
         return PeakAnnotation(
             label=peak.label,
             start=peak.start,

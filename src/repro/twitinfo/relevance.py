@@ -9,11 +9,12 @@ their detected sentiment is positive, negative, or neutral."
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from repro.nlp.keywords import KeywordExtractor
-from repro.nlp.similarity import rank_by_similarity
+from repro.nlp.similarity import rank_by_tokens
+from repro.nlp.tokenize import content_tokens
 from repro.twitter.models import Tweet
 
 
@@ -40,6 +41,7 @@ def relevant_tweets(
     sentiments: Sequence[int],
     extractor: KeywordExtractor | None = None,
     limit: int = 10,
+    tokens_of: Callable[[Tweet], Sequence[str]] | None = None,
 ) -> list[RelevantTweet]:
     """Rank tweets by similarity to the (event or peak) keywords.
 
@@ -50,14 +52,16 @@ def relevant_tweets(
         sentiments: classifier labels aligned with ``tweets``.
         extractor: background model for TF-IDF weighting (the labeler's).
         limit: panel size.
+        tokens_of: a tweet's content tokens when the caller keeps them;
+            by default each text is tokenized here.
     """
     if len(tweets) != len(sentiments):
         raise ValueError("tweets and sentiments must align")
     sentiment_of = {id(tweet): label for tweet, label in zip(tweets, sentiments)}
-    ranked = rank_by_similarity(
+    ranked = rank_by_tokens(
         tweets,
         keywords,
-        text_of=lambda tweet: tweet.text,
+        tokens_of or (lambda tweet: content_tokens(tweet.text)),
         extractor=extractor,
     )
     # Deduplicate near-identical texts (Twitter is full of retweets; a

@@ -19,6 +19,7 @@ skew:
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 from repro import rng as rng_mod
 from repro.geo.gazetteer import City, Gazetteer, default_gazetteer
@@ -84,6 +85,14 @@ class UserPopulation:
         activity_mass = rng_mod.zipf_ranks(size, activity_exponent)
         self._rng.shuffle(activity_mass)
         self._activity = activity_mass
+        # Cumulative weights once, not per draw: ``choices`` with
+        # ``cum_weights`` draws bit-identically to the ``weights=`` form
+        # (it accumulates the same floats itself) without the O(N) pass.
+        self._cum_activity = list(accumulate(activity_mass))
+        #: (lat, lon, radius) → nearby users and their cumulative weights.
+        self._nearby: dict[
+            tuple[float, float, float], tuple[list[User], list[float]] | None
+        ] = {}
 
         for user_id in range(1, size + 1):
             city = self._rng.choices(cities, weights=weights, k=1)[0]
@@ -123,7 +132,7 @@ class UserPopulation:
 
     def sample_author(self, rng: random.Random) -> User:
         """Draw a tweet author according to the Zipf activity weights."""
-        return rng.choices(self._users, weights=self._activity, k=1)[0]
+        return rng.choices(self._users, cum_weights=self._cum_activity)[0]
 
     def sample_author_near(
         self, rng: random.Random, lat: float, lon: float, radius_deg: float
@@ -134,18 +143,26 @@ class UserPopulation:
         people who felt it). Falls back to the global draw when nobody
         lives close enough.
         """
-        nearby = [
-            (user, weight)
-            for user, weight, city in zip(
-                self._users, self._activity, self._homes
+        key = (lat, lon, radius_deg)
+        if key not in self._nearby:
+            nearby = [
+                (user, weight)
+                for user, weight, city in zip(
+                    self._users, self._activity, self._homes
+                )
+                if abs(city.lat - lat) <= radius_deg
+                and abs(city.lon - lon) <= radius_deg
+            ]
+            self._nearby[key] = (
+                ([u for u, _ in nearby], list(accumulate(w for _, w in nearby)))
+                if nearby
+                else None
             )
-            if abs(city.lat - lat) <= radius_deg
-            and abs(city.lon - lon) <= radius_deg
-        ]
-        if not nearby:
+        candidates = self._nearby[key]
+        if candidates is None:
             return self.sample_author(rng)
-        users, weights = zip(*nearby)
-        return rng.choices(list(users), weights=list(weights), k=1)[0]
+        users, cum_weights = candidates
+        return rng.choices(users, cum_weights=cum_weights)[0]
 
     def geotag_for(self, rng: random.Random, user: User) -> tuple[float, float] | None:
         """Exact coordinates for a tweet by ``user``, if geo-enabled.

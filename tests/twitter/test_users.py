@@ -97,3 +97,48 @@ def test_tokyo_outnumbers_cape_town():
     population = UserPopulation(size=4000, seed=2)
     homes = [population.home_city(u).name for u in population.users]
     assert homes.count("Tokyo") > 5 * homes.count("Cape Town")
+
+
+class _WeightsFormPopulation(UserPopulation):
+    """Author draws through ``choices(weights=...)``, re-accumulated per
+    draw — the reference the cached cumulative weights must match."""
+
+    def sample_author(self, rng):
+        return rng.choices(self.users, weights=self._activity, k=1)[0]
+
+    def sample_author_near(self, rng, lat, lon, radius_deg):
+        nearby = [
+            (user, weight)
+            for user, weight, city in zip(
+                self.users, self._activity, self._homes
+            )
+            if abs(city.lat - lat) <= radius_deg
+            and abs(city.lon - lon) <= radius_deg
+        ]
+        if not nearby:
+            return self.sample_author(rng)
+        users, weights = zip(*nearby)
+        return rng.choices(list(users), weights=list(weights), k=1)[0]
+
+
+def test_firehose_identical_to_weights_form():
+    """Cumulative-weight draws reproduce the ``weights=`` firehose bit for
+    bit, on global and on localized (earthquake) authors."""
+    from repro.twitter import workloads
+
+    def firehose(population_cls):
+        population = population_cls(size=300, seed=11)
+        return [
+            (t.tweet_id, t.created_at, t.user.user_id, t.text, t.geo)
+            for scenario in (
+                workloads.soccer_match_scenario(seed=11, population=population),
+                workloads.earthquake_scenario(
+                    seed=11, population=population, intensity=0.2
+                ),
+            )
+            for t in scenario.tweets
+        ]
+
+    fast = firehose(UserPopulation)
+    assert fast == firehose(_WeightsFormPopulation)
+    assert len(fast) > 1000
