@@ -445,6 +445,31 @@ def _vec_binary(
     return fn
 
 
+def _vec_call(
+    fn: Callable[..., Any], args: list[_VectorNode]
+) -> VectorEvaluator:
+    """Apply ``None if any arg is None else fn(*args)`` cell by cell."""
+
+    def eval_call(batch: ColumnBatch, ctx: EvalContext) -> Any:
+        cols = [arg.fn(batch, ctx) for arg in args]
+        if all(isinstance(col, Broadcast) for col in cols):
+            if not batch.length:
+                return []  # the scalar path would never call fn
+            values = [col.value for col in cols]
+            if any(v is None for v in values):
+                return Broadcast(None)
+            return Broadcast(fn(*values))
+        if len(cols) == 1:
+            return [None if a is None else fn(a) for a in cols[0]]
+        n = batch.length
+        return [
+            None if any(v is None for v in values) else fn(*values)
+            for values in zip(*(expand_column(col, n) for col in cols))
+        ]
+
+    return eval_call
+
+
 def build_fused_projector(
     pairs: list[tuple[str, str]],
 ) -> Callable[[list], list]:
@@ -479,12 +504,16 @@ def compile_vector_expr(
     The vector form computes ``(batch, ctx) -> list-of-values`` (or a
     :class:`Broadcast` constant) with semantics identical to the scalar
     closure applied row by row: NULL propagation, three-valued AND/OR,
-    TypeError-absorbing comparisons, NULL on division by zero. Anything
-    that needs a row dict or per-row state — UDF calls, select aliases —
-    returns None here; the planner then keeps the scalar path for that
-    expression. Call this only *after* ``compile_expr`` succeeded on the
-    same expression: plan-time validation (unknown fields, bad patterns)
-    is the scalar compiler's job and is not repeated here.
+    TypeError-absorbing comparisons, NULL on division by zero. Calls to
+    the registry's NULL-safe pure builtins (:attr:`FunctionSpec.plain`:
+    ``lower``, ``length``, ``hour``, …) are applied a column at a time.
+    Anything that needs a row dict, the context or per-row state —
+    stateful, service-backed or user-registered UDFs, ``now()``, select
+    aliases — returns None here; the planner then keeps the scalar path
+    for that expression. Call this only *after* ``compile_expr``
+    succeeded on the same expression: plan-time validation (unknown
+    fields, bad patterns) is the scalar compiler's job and is not
+    repeated here.
     """
     schema_set = {name.lower() for name in schema}
     alias_names = set(aliases or ())
@@ -585,7 +614,24 @@ def compile_vector_expr(
         if isinstance(node, ast.BinaryOp):
             return compile_binary(node)
 
-        # FuncCall (UDFs, stateful or not), Star, anything new: scalar only.
+        if isinstance(node, ast.FuncCall):
+            if node.name in AGGREGATE_NAMES or node.name not in registry:
+                return None
+            plain = registry.lookup(node.name).plain
+            if plain is None:
+                # Stateful, service-backed, context-reading or
+                # user-registered: evaluated row by row.
+                return None
+            args = [compile_node(arg) for arg in node.args]
+            if any(arg is None for arg in args):
+                return None
+            # The plain function may raise on a cell, as the scalar does.
+            return _VectorNode(
+                _vec_call(plain, args),  # type: ignore[arg-type]
+                total=False,
+            )
+
+        # Star, anything new: scalar only.
         return None
 
     def compile_binary(node: ast.BinaryOp) -> _VectorNode | None:

@@ -16,11 +16,19 @@ detector). The registry models all three:
 Functions receive already-evaluated argument values plus the
 :class:`~repro.engine.types.EvalContext` and must treat ``None`` as SQL
 NULL (return ``None`` rather than raising).
+
+Builtins that are pure functions of their arguments with NULL in → NULL
+out are registered through :func:`_nullsafe`, which exposes the plain
+function as :attr:`FunctionSpec.plain`; the vector compiler applies it a
+column at a time. Everything else (context readers, services, stateful
+and user-registered UDFs) runs row by row.
 """
 
 from __future__ import annotations
 
+import datetime as dt
 import math
+import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
@@ -65,6 +73,20 @@ class FunctionSpec:
     return_type: str | None = None
     min_args: int | None = None
     variadic: bool = False
+
+    @property
+    def plain(self) -> Callable[..., Any] | None:
+        """The context-free function behind a NULL-safe builtin, or None.
+
+        ``impl(ctx, *args)`` equals ``None if any arg is None else
+        plain(*args)`` for every argument tuple, so the call can be
+        evaluated a column at a time. Only :func:`_nullsafe` wrappers
+        carry one; stateful, service-backed and high-latency functions
+        never do.
+        """
+        if self.stateful or self.high_latency or self.service is not None:
+            return None
+        return getattr(self.impl, "plain", None)
 
 
 class FunctionRegistry:
@@ -144,13 +166,19 @@ class FunctionRegistry:
 
 
 def _nullsafe(fn: Callable[..., Any]) -> Callable[..., Any]:
-    """Wrap a pure function so any NULL argument yields NULL."""
+    """Wrap a pure function so any NULL argument yields NULL.
+
+    The wrapper keeps ``fn`` as its ``plain`` attribute, which marks the
+    spec as liftable to a column-at-a-time evaluator.
+    """
 
     def wrapper(_ctx: EvalContext, *args: Any) -> Any:
-        if any(a is None for a in args):
-            return None
+        for a in args:
+            if a is None:
+                return None
         return fn(*args)
 
+    wrapper.plain = fn  # type: ignore[attr-defined]
     return wrapper
 
 
@@ -225,8 +253,6 @@ def _fn_extract(
     """
     if text is None or pattern is None:
         return None
-    import re
-
     cache = ctx.state.setdefault("__extract_patterns__", {})
     compiled = cache.get(pattern)
     if compiled is None:
@@ -244,71 +270,52 @@ def _fn_extract(
     return match.group(index)
 
 
-def _fn_place_name(ctx: EvalContext, lat: Any, lon: Any) -> str | None:
+# --- tweet helpers ----------------------------------------------------------
+
+
+_URL = re.compile(r"https?://\S+")
+_HASHTAG = re.compile(r"#(\w+)")
+
+
+def _first_url(text: Any) -> str | None:
+    match = _URL.search(str(text))
+    return match.group(0).rstrip(".,;!?)") if match else None
+
+
+def _hashtags(text: Any) -> tuple[str, ...]:
+    return tuple(m.group(1).lower() for m in _HASHTAG.finditer(str(text)))
+
+
+def _point(lat: Any, lon: Any) -> tuple[float, float]:
+    return (float(lat), float(lon))
+
+
+def _place_name(lat: Any, lon: Any) -> str:
     """Reverse geocoding: nearest gazetteer city for a coordinate pair."""
-    if lat is None or lon is None:
-        return None
     from repro.geo.gazetteer import default_gazetteer
 
     return default_gazetteer().nearest(float(lat), float(lon)).name
 
 
-# --- tweet helpers ----------------------------------------------------------
-
-
-def _fn_first_url(_ctx: EvalContext, text: Any) -> str | None:
-    if text is None:
-        return None
-    import re
-
-    match = re.search(r"https?://\S+", str(text))
-    return match.group(0).rstrip(".,;!?)") if match else None
-
-
-def _fn_hashtags(_ctx: EvalContext, text: Any) -> tuple[str, ...] | None:
-    if text is None:
-        return None
-    import re
-
-    return tuple(m.group(1).lower() for m in re.finditer(r"#(\w+)", str(text)))
-
-
-def _fn_point(_ctx: EvalContext, lat: Any, lon: Any) -> tuple[float, float] | None:
-    if lat is None or lon is None:
-        return None
-    return (float(lat), float(lon))
-
-
 # --- temporal helpers --------------------------------------------------------
 
 
-def _fn_hour(_ctx: EvalContext, timestamp: Any) -> int | None:
-    if timestamp is None:
-        return None
-    import datetime as dt
-
-    return dt.datetime.fromtimestamp(float(timestamp), tz=dt.timezone.utc).hour
+_UTC = dt.timezone.utc
 
 
-def _fn_minute(_ctx: EvalContext, timestamp: Any) -> int | None:
-    if timestamp is None:
-        return None
-    import datetime as dt
-
-    return dt.datetime.fromtimestamp(float(timestamp), tz=dt.timezone.utc).minute
+def _hour(timestamp: Any) -> int:
+    return dt.datetime.fromtimestamp(float(timestamp), tz=_UTC).hour
 
 
-def _fn_day(_ctx: EvalContext, timestamp: Any) -> int | None:
-    if timestamp is None:
-        return None
-    import datetime as dt
-
-    return dt.datetime.fromtimestamp(float(timestamp), tz=dt.timezone.utc).day
+def _minute(timestamp: Any) -> int:
+    return dt.datetime.fromtimestamp(float(timestamp), tz=_UTC).minute
 
 
-def _fn_format_time(_ctx: EvalContext, timestamp: Any) -> str | None:
-    if timestamp is None:
-        return None
+def _day(timestamp: Any) -> int:
+    return dt.datetime.fromtimestamp(float(timestamp), tz=_UTC).day
+
+
+def _format_time(timestamp: Any) -> str:
     return format_timestamp(float(timestamp))
 
 
@@ -423,13 +430,15 @@ def default_registry() -> FunctionRegistry:
 
     # Tweet helpers.
     registry.register(
-        "first_url", _fn_first_url, arg_types=("string",), return_type="string"
+        "first_url", _nullsafe(_first_url),
+        arg_types=("string",), return_type="string",
     )
     registry.register(
-        "hashtags", _fn_hashtags, arg_types=("string",), return_type="list"
+        "hashtags", _nullsafe(_hashtags),
+        arg_types=("string",), return_type="list",
     )
     registry.register(
-        "point", _fn_point,
+        "point", _nullsafe(_point),
         arg_types=("number", "number"), return_type="point",
     )
     registry.register(
@@ -438,22 +447,22 @@ def default_registry() -> FunctionRegistry:
         min_args=2,
     )
     registry.register(
-        "place_name", _fn_place_name,
+        "place_name", _nullsafe(_place_name),
         arg_types=("number", "number"), return_type="string",
     )
 
     # Temporal.
     registry.register(
-        "hour", _fn_hour, arg_types=("number",), return_type="integer"
+        "hour", _nullsafe(_hour), arg_types=("number",), return_type="integer"
     )
     registry.register(
-        "minute", _fn_minute, arg_types=("number",), return_type="integer"
+        "minute", _nullsafe(_minute), arg_types=("number",), return_type="integer"
     )
     registry.register(
-        "day", _fn_day, arg_types=("number",), return_type="integer"
+        "day", _nullsafe(_day), arg_types=("number",), return_type="integer"
     )
     registry.register(
-        "format_time", _fn_format_time,
+        "format_time", _nullsafe(_format_time),
         arg_types=("number",), return_type="string",
     )
     registry.register("now", _fn_now, arg_types=(), return_type="float")

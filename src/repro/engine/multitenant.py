@@ -298,8 +298,8 @@ class _SharedConjunct:
     """One distinct WHERE conjunct of the group, compiled once.
 
     ``vector`` is its column-at-a-time form, None when the expression
-    does not vectorize (UDF calls); the fanout then runs ``scalar`` on
-    the same rows.
+    does not vectorize (stateful, service or user-registered UDF calls);
+    the fanout then runs ``scalar`` on the same rows.
     """
 
     scalar: Evaluator

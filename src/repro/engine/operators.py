@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from itertools import islice
+from math import floor
 from typing import Any
 
 from repro.engine.expressions import (
@@ -44,7 +45,7 @@ from repro.engine.types import (
     iter_rows,
 )
 from repro.sql.ast import WindowSpec
-from repro.engine.windows import windows_containing
+from repro.engine.windows import next_close_time, windows_containing
 
 #: What operators consume and produce. Either batch flavor flows through
 #: every operator: columnar stages test ``isinstance(batch, ColumnBatch)``
@@ -386,6 +387,11 @@ class WindowedAggregateOperator:
         open_windows = self._open
         vector_groups = self._vector_group_evals
         vector_args = self._vector_agg_args
+        tumbling = window.tumbling
+        size = window.size_seconds
+        slide = window.slide
+        # The earliest end among the open windows (inf: none open).
+        next_close = float("inf")
         tail_seq = 0
         for batch in self._child:
             tail_seq = batch.seq + 1
@@ -417,12 +423,37 @@ class WindowedAggregateOperator:
                         else None
                         for vec in vector_args
                     ]
+            # Per aggregate site: (scalar argument, its precomputed
+            # column or None, skip NULLs).
+            sites = [
+                (arg_eval, arg_cols[site] if arg_cols is not None else None,
+                 skip_nulls)
+                for site, (_factory, arg_eval, skip_nulls) in enumerate(
+                    agg_factories
+                )
+            ]
             for i, row in enumerate(rows):
                 timestamp = row.get("created_at", ctx.stream_time)
-                # Close every window that ended at or before this row's time.
-                self._close_due(timestamp, emitted)
-                for bounds in windows_containing(timestamp, window):
-                    groups = open_windows.setdefault(bounds, {})
+                # Close every window that ended at or before this row's
+                # time; none has while the row is before the earliest end.
+                if timestamp >= next_close:
+                    next_close = self._close_due(timestamp, emitted)
+                if tumbling:
+                    # windows_containing's single window, computed inline.
+                    start = floor(timestamp / slide) * slide
+                    containing = (
+                        ((start, start + size),)
+                        if start > timestamp - size
+                        else ()
+                    )
+                else:
+                    containing = windows_containing(timestamp, window)
+                for bounds in containing:
+                    groups = open_windows.get(bounds)
+                    if groups is None:
+                        groups = open_windows[bounds] = {}
+                        if bounds[1] < next_close:
+                            next_close = bounds[1]
                     if key_col is not None:
                         key = key_col[i]
                     else:
@@ -437,16 +468,13 @@ class WindowedAggregateOperator:
                         )
                         groups[key] = state
                     state.count += 1
-                    for site, (accumulator, (_factory, arg_eval, skip_nulls)) in enumerate(
-                        zip(state.accumulators, agg_factories)
+                    for accumulator, (arg_eval, col, skip_nulls) in zip(
+                        state.accumulators, sites
                     ):
                         if arg_eval is None:
                             accumulator.add(1)
                             continue
-                        if arg_cols is not None and arg_cols[site] is not None:
-                            value = arg_cols[site][i]
-                        else:
-                            value = arg_eval(row, ctx)
+                        value = col[i] if col is not None else arg_eval(row, ctx)
                         if value is None and skip_nulls:
                             continue
                         accumulator.add(value)
@@ -460,7 +488,9 @@ class WindowedAggregateOperator:
         self._close_due(float("inf"), tail)
         yield RowBatch(tail, seq=tail_seq, last=True)
 
-    def _close_due(self, timestamp: float, emitted: list[Row]) -> None:
+    def _close_due(self, timestamp: float, emitted: list[Row]) -> float:
+        """Emit every window ending at or before ``timestamp``, in
+        (start, end) order; returns the earliest end still open."""
         due = sorted(
             bounds for bounds in self._open if bounds[1] <= timestamp
         )
@@ -468,6 +498,8 @@ class WindowedAggregateOperator:
             groups = self._open.pop(bounds)
             self._ctx.stats.windows_closed += 1
             self._emit_window(bounds, groups, emitted)
+        end = next_close_time(self._open)
+        return float("inf") if end is None else end
 
     def _emit_window(
         self,

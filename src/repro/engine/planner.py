@@ -942,8 +942,9 @@ class Planner:
         """The local predicate stage: an eddy or a fixed conjunction.
 
         With a columnar layout, each conjunct additionally gets a
-        vectorized form when its expression supports one (pure
-        comparisons / boolean logic / regex — no UDF calls); the
+        vectorized form when its expression supports one (comparisons,
+        boolean logic, regex and the NULL-safe pure builtins such as
+        ``length``; not stateful, service or user-registered UDFs); the
         FilterOperator uses it per ColumnBatch and falls back to the
         scalar closure otherwise. Conjunct order — and therefore
         ``predicate_evaluations`` accounting — is identical either way.

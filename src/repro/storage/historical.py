@@ -134,26 +134,26 @@ class HistoricalStore(SqliteTweetLog):
     # -- writes ------------------------------------------------------------
 
     def _insert(self, tweet: Tweet, payload: str) -> None:
-        # The pre-existence probe is an indexed PK lookup; it gates the
-        # FTS purge below, which would otherwise scan the whole FTS table
-        # per insert (tweet_id is UNINDEXED there) — quadratic archival.
-        existed = (
-            self._conn.execute(
-                "SELECT 1 FROM tweets WHERE tweet_id = ?",
-                (tweet.tweet_id,),
-            ).fetchone()
-            is not None
-        )
+        # The pre-existence probe is an indexed PK lookup. Re-archiving an
+        # identical tweet (a backfill session's live tail re-taps history)
+        # is a no-op; otherwise the probe gates the FTS purge below, which
+        # scans the whole FTS table (tweet_id is UNINDEXED there).
+        fields = (tweet.created_at, tweet.user.user_id, tweet.text, payload)
+        stored = self._conn.execute(
+            "SELECT created_at, user_id, text, payload FROM tweets "
+            "WHERE tweet_id = ?",
+            (tweet.tweet_id,),
+        ).fetchone()
+        if stored == fields:
+            return
+        existed = stored is not None
         self._conn.execute(
             "INSERT OR REPLACE INTO tweets "
             "(tweet_id, created_at, user_id, text, payload, partition) "
             "VALUES (?, ?, ?, ?, ?, ?)",
             (
                 tweet.tweet_id,
-                tweet.created_at,
-                tweet.user.user_id,
-                tweet.text,
-                payload,
+                *fields,
                 int(tweet.created_at // self.partition_seconds),
             ),
         )

@@ -146,55 +146,63 @@ class StreamConnection:
         self.tracer = None
 
     def __iter__(self) -> Iterator[Tweet]:
-        # Fault-schedule cursor: index of the next pending drop, plus how
-        # many deliverable tweets of the current gap remain.
+        stats = self.stats
+        predicate = self._predicate
+        tap = self._tap
+        clock = self._clock
+        ratio = self._delivery_ratio
+        draw = self._rng.random if ratio < 1.0 else None
+        drops = self._drops
+        # Fault-schedule cursor: index of the next pending drop, the
+        # delivered count it fires at, and how many deliverable tweets of
+        # the current gap remain.
         next_drop = 0
+        drop_at = drops[0].after_delivered if drops else float("inf")
         gap_remaining = 0
         try:
             for tweet in self._tweets:
                 if self._closed:
                     return
-                self.stats.scanned += 1
-                if not self._predicate(tweet):
+                stats.scanned += 1
+                if not predicate(tweet):
                     continue
-                self.stats.matched += 1
-                if (
-                    self._delivery_ratio < 1.0
-                    and self._rng.random() > self._delivery_ratio
-                ):
-                    self.stats.dropped += 1
+                stats.matched += 1
+                if draw is not None and draw() > ratio:
+                    stats.dropped += 1
                     continue
-                while (
-                    next_drop < len(self._drops)
-                    and self.stats.delivered
-                    >= self._drops[next_drop].after_delivered
-                ):
-                    gap_remaining += self._drops[next_drop].gap
+                while stats.delivered >= drop_at:
+                    drop = drops[next_drop]
+                    gap_remaining += drop.gap
                     next_drop += 1
+                    drop_at = (
+                        drops[next_drop].after_delivered
+                        if next_drop < len(drops)
+                        else float("inf")
+                    )
                     if self._auto_reconnect:
-                        self.stats.reconnects += 1
+                        stats.reconnects += 1
                         if self.tracer is not None:
                             self.tracer.instant(
                                 f"reconnect({self.description})",
                                 "reconnect",
                                 lane="stream",
-                                delivered=self.stats.delivered,
-                                gap=self._drops[next_drop - 1].gap,
+                                delivered=stats.delivered,
+                                gap=drop.gap,
                             )
                 if gap_remaining > 0:
                     gap_remaining -= 1
-                    self.stats.gap_tweets += 1
+                    stats.gap_tweets += 1
                     if not self._auto_reconnect:
                         # Disconnected and no backfill: the tweet is gone.
-                        self.stats.dropped += 1
+                        stats.dropped += 1
                         continue
                     # Reconnected from the cursor: the tweet is recovered
                     # and delivered below like any other.
-                self.stats.delivered += 1
-                if self._tap is not None:
-                    self._tap(tweet)
-                if self._clock is not None and tweet.created_at > self._clock.now:
-                    self._clock.advance_to(tweet.created_at)
+                stats.delivered += 1
+                if tap is not None:
+                    tap(tweet)
+                if clock is not None and tweet.created_at > clock.now:
+                    clock.advance_to(tweet.created_at)
                 yield tweet
         finally:
             # A drained (or abandoned) connection releases its slot; real
@@ -337,9 +345,18 @@ class StreamingAPI:
             )
         if track:
             keywords = tuple(track)
+            # Tweet.matches_any_keyword's rule, keywords folded once here.
+            folded = tuple(keyword.casefold() for keyword in keywords)
+
+            def track_match(tweet: Tweet) -> bool:
+                text = tweet.text.casefold()
+                for keyword in folded:
+                    if keyword in text:
+                        return True
+                return False
+
             return self._connect(
-                lambda tweet: tweet.matches_any_keyword(keywords),
-                description=f"track={','.join(keywords)}",
+                track_match, description=f"track={','.join(keywords)}"
             )
         if locations:
             boxes = tuple(locations)

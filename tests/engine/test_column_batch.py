@@ -165,7 +165,7 @@ VECTOR_EXPRS = (
     "followers + 1 > 100",
     "followers / 0 IS NULL",
     "-followers < 0",
-    "length(text) > 3",  # UDF: vector compiler must decline (None)
+    "length(text) > 3",  # pure builtin: lifted to a column-at-a-time call
 )
 
 ROWS = [
@@ -186,14 +186,24 @@ def test_vector_evaluator_matches_scalar(sql):
     expr = parse_expression(sql)
     scalar = compile_expr(expr, registry, SCHEMA, ctx)
     vector = compile_vector_expr(expr, registry, SCHEMA, ctx)
-    if "length(" in sql:
-        assert vector is None  # UDFs stay on the scalar path
-        return
     assert vector is not None, sql
     batch = ColumnBatch.from_rows([dict(r) for r in ROWS])
     result = expand_column(vector(batch, ctx), len(batch))
     expected = [scalar(row, ctx) for row in batch.rows]
     assert result == expected, sql
+
+
+@pytest.mark.parametrize(
+    "sql", ["sentiment(text) > 0", "meandev(followers) > 1"]
+)
+def test_service_and_stateful_udfs_stay_scalar(sql):
+    """A service call needs the context and a stateful UDF folds over
+    rows one at a time: neither is lifted to a column-at-a-time call."""
+    registry = default_registry()
+    ctx = EvalContext(clock=VirtualClock())
+    expr = parse_expression(sql)
+    compile_expr(expr, registry, SCHEMA, ctx)
+    assert compile_vector_expr(expr, registry, SCHEMA, ctx) is None
 
 
 def test_vector_and_does_not_mask_scalar_type_errors():

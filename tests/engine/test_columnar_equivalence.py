@@ -67,6 +67,17 @@ SHAPES = {
         "SELECT text FROM s WHERE followers > 200 LIMIT 9;",
         "limit",
     ),
+    "sliding_window": (
+        "SELECT COUNT(*) AS n, AVG(followers) AS f, lang FROM s "
+        "GROUP BY lang WINDOW 120 seconds EVERY 40 seconds;",
+        "full",
+    ),
+    "hour_group": (
+        "SELECT hour(created_at) AS h, COUNT(*) AS n, MAX(length(text)) AS m "
+        "FROM s WHERE length(text) > 12 GROUP BY hour(created_at) "
+        "WINDOW 600 seconds;",
+        "full",
+    ),
 }
 
 #: Stats that must match the serial row-engine exactly. windows_closed

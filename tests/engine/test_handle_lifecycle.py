@@ -10,6 +10,7 @@ never duplicates or drops rows at any worker count.
 from __future__ import annotations
 
 import csv
+import itertools
 import threading
 
 import pytest
@@ -60,10 +61,17 @@ def scenario_session(workers=1, **config_kwargs):
 @pytest.mark.parametrize("workers", [1, 3])
 def test_close_mid_stream_releases_api_connections(workers):
     session = scenario_session(workers=workers)
+    # Hold the stream at its 2000th of ~3200 deliveries so the connection
+    # is still open however far a sharded exchange reads ahead of
+    # fetch(); the first output rows need ~1000 deliveries at most.
+    resume = threading.Event()
+    delivered = itertools.count(1)
+    session.api.tap = lambda _tweet: next(delivered) < 2000 or resume.wait(30.0)
     handle = session.query("SELECT text FROM twitter WHERE text CONTAINS 'goal';")
     rows = handle.fetch(5)
     assert rows
     assert session.api.open_connections == 1
+    resume.set()
     handle.close()
     assert session.api.open_connections == 0
     # close() is idempotent.

@@ -139,3 +139,29 @@ def test_selectivity_stat(api):
     connection = api.filter(track=("tevez",))
     list(connection)
     assert 0.0 < connection.stats.selectivity < 0.5
+
+
+def test_track_casefolds_keywords_like_the_tweet_rule():
+    """Keywords are folded once per connection; matches stay exactly
+    Tweet.matches_any_keyword's (full casefolding, not lower())."""
+    from repro.twitter.models import Tweet, User
+
+    texts = ("STRASSE closed", "die straße", "İstanbul", "istanbul",
+             "ﬁnal whistle", "FINAL", "nothing")
+    user = User(user_id=1, screen_name="u", location="Boston")
+    firehose = Firehose([
+        Tweet(tweet_id=i + 1, created_at=1000.0 + i, user=user, text=text)
+        for i, text in enumerate(texts)
+    ])
+    for keywords, expected in (
+        (("Straße",), ["STRASSE closed", "die straße"]),
+        (("ss",), ["STRASSE closed", "die straße"]),
+        (("İ",), ["İstanbul"]),
+        (("i̇stanbul", "FI"), ["İstanbul", "ﬁnal whistle", "FINAL"]),
+    ):
+        api = StreamingAPI(firehose, delivery_ratio=1.0)
+        delivered = [t.text for t in api.filter(track=keywords)]
+        assert delivered == expected, keywords
+        assert delivered == [
+            t.text for t in firehose if t.matches_any_keyword(keywords)
+        ]
